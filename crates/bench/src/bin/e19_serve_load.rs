@@ -302,7 +302,7 @@ fn main() {
             "/../../results/BENCH_serve.json"
         );
         std::fs::write(path, &json).expect("write BENCH_serve.json");
-        println!("wrote {path}");
+        println!("wrote results/BENCH_serve.json");
     }
     println!(
         "reading: with equal per-tenant demand the DRR scheduler keeps the completed-slice\n\

@@ -353,7 +353,7 @@ fn main() {
             "/../../results/BENCH_chaos.json"
         );
         std::fs::write(path, &json).expect("write BENCH_chaos.json");
-        println!("wrote {path}");
+        println!("wrote results/BENCH_chaos.json");
     }
     println!(
         "reading: under a seeded storm of spool faults, torn writes, slice panics and stalls,\n\

@@ -22,6 +22,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pga_core::erased::BoxedEngine;
+use pga_core::snapshot::Snapshot;
 use pga_core::termination::{StopReason, Termination};
 use pga_observe::JsonlStream;
 
@@ -170,10 +171,10 @@ pub struct Job {
     /// Backoff gate: the job is not schedulable before this instant.
     pub not_before: Option<Instant>,
     /// Last good engine snapshot, taken after every successful slice.
-    /// This is the resurrection source — identical bytes to the spool
+    /// This is the resurrection source — the same snapshot as the spool
     /// record when the spool is healthy, and still available when the
-    /// spool is degraded.
-    pub resume_from: Option<Vec<u8>>,
+    /// spool is degraded. Dropped once the job is terminal.
+    pub resume_from: Option<Snapshot>,
 }
 
 impl Job {

@@ -187,7 +187,9 @@ impl ServeBuilder {
         self
     }
 
-    /// Maximum jobs sliced concurrently per scheduler turn.
+    /// Most slices in flight at once. The runtime runs
+    /// `min(max_batch, pool workers)` slices concurrently; each is
+    /// persisted and reintegrated on its own, so none waits for another.
     #[must_use]
     pub fn max_batch(mut self, n: usize) -> Self {
         self.max_batch = n;
@@ -328,7 +330,7 @@ impl Serve {
     }
 
     /// Graceful shutdown: stop the HTTP listener, finish and persist
-    /// the in-flight slice batch, and join the scheduler.
+    /// the slices in flight, and stop the scheduler.
     pub fn shutdown(mut self) {
         if let Some(mut http) = self.http.take() {
             http.shutdown();
@@ -336,8 +338,8 @@ impl Serve {
         self.runtime.shutdown();
     }
 
-    /// Crash simulation (see [`ServeRuntime::abandon`]): the in-flight
-    /// slice batch is lost, the spool keeps each job's previous slice.
+    /// Crash simulation (see [`ServeRuntime::abandon`]): the slices in
+    /// flight are lost, the spool keeps each job's previous slice.
     pub fn abandon(mut self) {
         if let Some(mut http) = self.http.take() {
             http.shutdown();

@@ -741,6 +741,20 @@ impl Budget {
     }
 }
 
+/// Largest seed a spec may carry: 2^53 − 1. JSON numbers are doubles,
+/// which hold every integer up to 2^53 exactly; 2^53 itself is excluded
+/// because the text `9007199254740993` also parses to it. A larger seed
+/// would come back from the spool as a different number, and the job
+/// would resume on a different trajectory.
+pub const MAX_SEED: u64 = (1 << 53) - 1;
+
+fn seed_error() -> ProtocolError {
+    ProtocolError::Invalid {
+        field: "seed",
+        message: format!("must be an integer in 0..={MAX_SEED}"),
+    }
+}
+
 /// One optimization job as submitted over the wire: who wants it
 /// (`tenant`), what to optimize (`problem`), which engine family to run
 /// it on (`engine`), the RNG seed, and when to stop (`budget`).
@@ -787,9 +801,25 @@ impl JobSpec {
             engine: EngineSpec::from_json(
                 json.get("engine").ok_or(ProtocolError::Missing("engine"))?,
             )?,
-            seed: json.get("seed").and_then(Json::as_u64).unwrap_or(0),
+            seed: match json.get("seed") {
+                None => 0,
+                Some(v) => v
+                    .as_u64()
+                    .filter(|&seed| seed <= MAX_SEED)
+                    .ok_or_else(seed_error)?,
+            },
             budget: Budget::from_json(json.get("budget").ok_or(ProtocolError::Missing("budget"))?)?,
         })
+    }
+
+    /// Rejects a seed above [`MAX_SEED`], which the spec's JSON form
+    /// (and so the spool) cannot carry exactly. [`JobSpec::from_json`]
+    /// applies the same bound to decoded specs.
+    pub fn check_seed(&self) -> Result<(), ProtocolError> {
+        if self.seed > MAX_SEED {
+            return Err(seed_error());
+        }
+        Ok(())
     }
 
     /// Canonical JSON encoding; round-trips exactly through
@@ -868,6 +898,26 @@ mod tests {
                 assert_eq!(back, s);
             }
         }
+    }
+
+    #[test]
+    fn the_largest_seed_roundtrips_exactly() {
+        for seed in [MAX_SEED, MAX_SEED - 1, 1 << 52, 0] {
+            let original = JobSpec { seed, ..spec() };
+            let back = JobSpec::from_json_str(&original.to_json_string()).unwrap();
+            assert_eq!(back.seed, seed);
+            assert_eq!(back.check_seed(), Ok(()));
+        }
+        let past = JobSpec {
+            seed: MAX_SEED + 1,
+            ..spec()
+        };
+        assert!(matches!(
+            past.check_seed(),
+            Err(ProtocolError::Invalid { field: "seed", .. })
+        ));
+        // Encoded anyway, it does not decode to a different seed.
+        assert!(JobSpec::from_json_str(&past.to_json_string()).is_err());
     }
 
     #[test]

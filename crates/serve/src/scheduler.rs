@@ -1,32 +1,41 @@
 //! The multi-tenant job runtime: slice scheduling, deficit round-robin
 //! fairness, admission control, and crash-safe checkpointing.
 //!
-//! One scheduler thread owns the loop. Each turn it picks up to
-//! `max_batch` runnable jobs — at most one per tenant per pass, in
-//! deficit-round-robin order — takes their engines out of the shared
-//! state, and runs one bounded *slice* per job **in parallel on the
-//! global work-stealing pool** (the same persistent pool the engines
-//! themselves use for fitness evaluation). A slice executes at most the
-//! tenant's current step allowance, re-checking termination *before*
-//! every step — exactly the check-then-step contract of the core
-//! [`Driver`](pga_core::driver::Driver) — so how a run is sliced can
-//! never change its trajectory, which is what makes crash recovery
-//! bit-identical.
+//! Jobs advance in bounded *slices*, run by **runners** on the global
+//! work-stealing pool (the same persistent pool the engines themselves
+//! use for fitness evaluation). A runner takes one slice under the state
+//! lock, in deficit-round-robin order, runs it, applies the watchdog,
+//! persists the job's record and reintegrates the job — all on its own,
+//! never waiting for another slice, so one slow job holds up nobody
+//! else's. It then re-spawns itself for the next slice, which hands its
+//! worker back to the pool between slices. At most
+//! `min(max_batch, pool workers)` runners exist at once. A dispatcher
+//! thread spawns them when work arrives (a submit, a backoff gate
+//! passing) and sleeps on a condvar otherwise; a runner that finds
+//! nothing runnable retires, so an idle server holds no pool worker.
+//!
+//! A slice executes at most the tenant's current step allowance,
+//! re-checking termination *before* every step — exactly the
+//! check-then-step contract of the core
+//! [`Driver`](pga_core::driver::Driver) — so how a run is sliced, and
+//! which slices of other jobs run beside it, can never change its
+//! trajectory, which is what makes crash recovery bit-identical.
 //!
 //! After every slice the job's engine snapshot and counters are written
-//! to the [`Spool`]; a runtime restarted over the same spool directory
-//! re-admits every non-terminal job and continues it from its last
-//! completed slice.
+//! to the [`Spool`] before the job is visible as progressed; a runtime
+//! restarted over the same spool directory re-admits every non-terminal
+//! job and continues it from its last completed slice.
 //!
 //! ## Fairness
 //!
 //! Tenants are scheduled by deficit round-robin (DRR) in units of
 //! *engine steps*: each time a tenant is visited it earns
-//! `quantum_steps`, a job slice may spend at most
-//! `min(deficit, steps_per_slice)` steps, and the steps actually
-//! executed are charged back. A tenant with 50 queued jobs therefore
-//! gets the same step throughput as a tenant with one — no starvation,
-//! bounded by one slice of lag.
+//! `quantum_steps`, and a job slice may spend at most
+//! `min(deficit, steps_per_slice)` steps. That allowance is debited when
+//! the slice is handed out and its unused part refunded when the slice
+//! comes back, so concurrent slices of one tenant cannot overdraw. A
+//! tenant with 50 queued jobs therefore gets the same step throughput as
+//! a tenant with one — no starvation, bounded by one slice of lag.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -61,7 +70,9 @@ pub struct ServeConfig {
     pub steps_per_slice: u64,
     /// Steps a tenant earns per scheduling visit (DRR quantum).
     pub quantum_steps: u64,
-    /// Maximum jobs sliced concurrently per scheduler turn.
+    /// Most slices in flight at once. The runtime runs
+    /// `min(max_batch, pool workers)` slices concurrently, each finishing
+    /// on its own.
     pub max_batch: usize,
     /// `Retry-After` hint (milliseconds) returned when shedding.
     pub retry_after_ms: u64,
@@ -164,25 +175,32 @@ struct State {
     next_id: u64,
     live: usize,
     stopping: bool,
+    /// Slices handed out and not yet finished (the drain barrier).
+    in_flight: usize,
+    /// Runners on the pool: spawned and not yet retired.
+    runners: usize,
 }
 
 struct Shared {
     state: Mutex<State>,
-    /// Wakes the scheduler thread (new work or shutdown).
+    /// Wakes the dispatcher thread. Notified by a submit, by a crashed
+    /// slice's requeue (which sets a backoff gate), by a retiring runner,
+    /// and by shutdown. A slice that yields needs no notify: its runner
+    /// re-spawns and takes the next slice itself.
     wake: Condvar,
-    /// Broadcast after every reintegrated batch (progress observers).
+    /// Broadcast after every finished slice (progress observers, drain).
     progress: Condvar,
     registry: Mutex<Registry>,
-    /// Crash simulation: when set, the scheduler discards its in-flight
-    /// batch instead of persisting and reintegrating it.
+    /// Crash simulation: when set, runners discard their slices in
+    /// flight instead of persisting and reintegrating them.
     hard_drop: AtomicBool,
     /// Spool persistence is failing; jobs continue on in-memory
     /// checkpoints only. Cleared by the next successful persist.
     degraded: AtomicBool,
-    /// A drain started: admission closed, scheduler idles.
+    /// A drain started: admission closed, no new slice is handed out.
     draining: AtomicBool,
-    /// Jobs currently checked out on the slice pool (drain barrier).
-    in_flight: std::sync::atomic::AtomicUsize,
+    /// Most runners alive at once: `min(max_batch, pool workers)`.
+    max_runners: usize,
     config: ServeConfig,
 }
 
@@ -205,9 +223,8 @@ enum SliceEnd {
     Failed(String),
 }
 
-/// A job checked out of the shared state for one slice. Carries copies
-/// of everything the persist step needs, so spool writes never take the
-/// state lock.
+/// A job checked out of the shared state for one slice. Carries what
+/// the persist step needs, so spool writes never take the state lock.
 struct SliceTask {
     id: JobId,
     tenant: String,
@@ -231,21 +248,21 @@ struct SliceTask {
     slice_time: Duration,
     end: SliceEnd,
     progress: JobProgress,
-    snapshot: Option<pga_core::Snapshot>,
+    snapshot: Option<Snapshot>,
 }
 
 /// The job runtime. Construct through `ServeBuilder` (crate root);
-/// drop or [`shutdown`](Self::shutdown) to stop the scheduler thread.
+/// drop or [`shutdown`](Self::shutdown) to stop it.
 pub struct ServeRuntime {
     shared: Arc<Shared>,
     spool: Arc<Spool>,
-    worker: Mutex<Option<JoinHandle<()>>>,
+    dispatcher: Mutex<Option<JoinHandle<()>>>,
     recover_report: RecoverReport,
 }
 
 impl ServeRuntime {
     /// Opens the spool, recovers every job found in it, and starts the
-    /// scheduler thread.
+    /// dispatcher thread.
     pub(crate) fn start(config: ServeConfig) -> Result<Self, std::io::Error> {
         let mut spool = Spool::open(&config.spool_dir)?;
         spool.set_chaos(config.chaos.clone());
@@ -260,6 +277,8 @@ impl ServeRuntime {
                 next_id: 0,
                 live: 0,
                 stopping: false,
+                in_flight: 0,
+                runners: 0,
             }),
             wake: Condvar::new(),
             progress: Condvar::new(),
@@ -267,21 +286,21 @@ impl ServeRuntime {
             hard_drop: AtomicBool::new(false),
             degraded: AtomicBool::new(false),
             draining: AtomicBool::new(false),
-            in_flight: std::sync::atomic::AtomicUsize::new(0),
+            max_runners: config.max_batch.min(rayon::current_num_threads()).max(1),
             config,
         });
         let recover_report = recover(&shared, &spool);
-        let worker = {
+        let dispatcher = {
             let shared = Arc::clone(&shared);
             let spool = Arc::clone(&spool);
             std::thread::Builder::new()
                 .name("pga-serve-scheduler".into())
-                .spawn(move || scheduler_loop(&shared, &spool))?
+                .spawn(move || dispatch_loop(&shared, &spool))?
         };
         Ok(Self {
             shared,
             spool,
-            worker: Mutex::new(Some(worker)),
+            dispatcher: Mutex::new(Some(dispatcher)),
             recover_report,
         })
     }
@@ -311,8 +330,12 @@ impl ServeRuntime {
     }
 
     /// Submits a job. Applies admission control *before* building the
-    /// engine, so shedding is cheap under overload.
+    /// engine, so shedding is cheap under overload. A seed the spool's
+    /// JSON cannot carry exactly (above [`MAX_SEED`](crate::protocol::MAX_SEED))
+    /// is rejected: the job would resume with a different seed after a
+    /// restart.
     pub fn submit(&self, spec: JobSpec) -> Result<JobId, SubmitError> {
+        spec.check_seed().map_err(SubmitError::Invalid)?;
         let termination = spec.budget.to_termination().map_err(SubmitError::Invalid)?;
         let id = {
             let mut st = lock(&self.shared.state);
@@ -421,6 +444,7 @@ impl ServeRuntime {
             }
             // Still queued: finalize right here.
             let engine = job.engine.take();
+            job.resume_from = None;
             job.state = JobState::Cancelled;
             job.stream.close();
             st.live -= 1;
@@ -537,25 +561,25 @@ impl ServeRuntime {
         !self.shared.draining.load(Ordering::Acquire) && !lock(&self.shared.state).stopping
     }
 
-    /// Graceful drain: closes admission, waits for the in-flight slice
-    /// batch to reintegrate, persists every runnable job's current
-    /// checkpoint, and reports counts. The scheduler thread stays alive
-    /// but idle; jobs remain resumable by a runtime restarted over the
+    /// Graceful drain: closes admission, waits for the slices in flight
+    /// to finish, persists every runnable job's current checkpoint, and
+    /// reports counts. The runtime stays alive but hands out no more
+    /// slices; jobs remain resumable by a runtime restarted over the
     /// same spool. Idempotent — a second drain re-persists and
     /// re-counts.
     pub fn drain(&self) -> DrainReport {
         self.shared.draining.store(true, Ordering::Release);
-        self.shared.wake.notify_all();
-        // Wait until no engine is out on the slice pool.
+        // Wait until no engine is out on the pool. Runners read
+        // `draining` under the state lock, so none starts a slice after
+        // this lock is taken, and every finishing slice notifies.
         {
             let mut st = lock(&self.shared.state);
-            while self.shared.in_flight.load(Ordering::Acquire) > 0 {
-                let (guard, _) = self
+            while st.in_flight > 0 {
+                st = self
                     .shared
                     .progress
-                    .wait_timeout(st, Duration::from_millis(20))
+                    .wait(st)
                     .unwrap_or_else(PoisonError::into_inner);
-                st = guard;
             }
         }
         let mut report = DrainReport::default();
@@ -605,13 +629,14 @@ impl ServeRuntime {
             st.stopping = true;
         }
         self.shared.wake.notify_all();
-        if let Some(worker) = lock(&self.worker).take() {
-            let _ = worker.join();
+        // The dispatcher returns once every runner has retired.
+        if let Some(dispatcher) = lock(&self.dispatcher).take() {
+            let _ = dispatcher.join();
         }
     }
 
-    /// Graceful shutdown: stops admitting, finishes the in-flight slice
-    /// batch (persisting it), and joins the scheduler thread. All
+    /// Graceful shutdown: stops admitting, finishes the slices in flight
+    /// (persisting them), and waits for every runner to retire. All
     /// non-terminal jobs remain in the spool for the next start.
     /// Idempotent.
     pub fn shutdown(&self) {
@@ -619,7 +644,7 @@ impl ServeRuntime {
     }
 
     /// Crash simulation: stops like a `kill -9` at a slice boundary —
-    /// the in-flight batch is **discarded without persisting**, so the
+    /// the slices in flight are **discarded without persisting**, so the
     /// spool holds each job's previous slice. A runtime restarted over
     /// the same spool replays the lost work bit-identically.
     pub fn abandon(&self) {
@@ -760,7 +785,7 @@ fn recover(shared: &Shared, spool: &Spool) -> RecoverReport {
         job.steps = record.steps;
         job.consumed = record.consumed;
         job.retries = record.retries;
-        job.resume_from = record.engine_snapshot.as_ref().map(Snapshot::to_bytes);
+        job.resume_from = record.engine_snapshot;
         job.progress = record.progress;
         st.live += 1;
         enqueue(&mut st, job);
@@ -773,19 +798,20 @@ fn recover(shared: &Shared, spool: &Spool) -> RecoverReport {
     report
 }
 
-/// Picks the next batch: visits tenants round-robin, granting each at
-/// most one job slice per pass, until `max_batch` jobs are selected or a
-/// full silent pass happens.
-fn select_batch(st: &mut State, config: &ServeConfig) -> Vec<SliceTask> {
-    let mut batch = Vec::new();
-    let deficit_cap = config.steps_per_slice.max(config.quantum_steps) * 2;
-    let mut remaining = st.ring.len();
+/// Ceiling on a tenant's banked deficit, so an idle spell cannot buy a
+/// burst of slices later.
+fn deficit_cap(config: &ServeConfig) -> u64 {
+    config.steps_per_slice.max(config.quantum_steps) * 2
+}
+
+/// Hands out the next slice in DRR order: visits tenants round-robin
+/// until one has a runnable job, or a full silent pass happens. The
+/// slice's allowance is debited from the tenant's deficit here, at
+/// dispatch; [`reintegrate`] refunds what the slice did not spend.
+fn select_slice(st: &mut State, config: &ServeConfig) -> Option<SliceTask> {
     let now = Instant::now();
-    while batch.len() < config.max_batch && remaining > 0 {
-        remaining -= 1;
-        let Some(tenant_name) = st.ring.pop_front() else {
-            break;
-        };
+    for _ in 0..st.ring.len() {
+        let tenant_name = st.ring.pop_front()?;
         st.ring.push_back(tenant_name.clone());
         // Skip terminal ids that were cancelled while queued, and defer
         // (requeue without selecting) jobs inside their resurrection
@@ -812,19 +838,15 @@ fn select_batch(st: &mut State, config: &ServeConfig) -> Vec<SliceTask> {
             t.queue.extend(deferred);
         }
         let Some(id) = id else { continue };
-        let allowance = {
-            let Some(t) = st.tenants.get_mut(&tenant_name) else {
-                continue;
-            };
-            t.deficit = (t.deficit + config.quantum_steps).min(deficit_cap);
-            t.deficit.min(config.steps_per_slice)
-        };
-        let Some(job) = st.jobs.get_mut(&id) else {
+        let (Some(job), Some(t)) = (st.jobs.get_mut(&id), st.tenants.get_mut(&tenant_name)) else {
             continue;
         };
         let Some(engine) = job.engine.take() else {
             continue;
         };
+        t.deficit = (t.deficit + config.quantum_steps).min(deficit_cap(config));
+        let allowance = t.deficit.min(config.steps_per_slice);
+        t.deficit -= allowance;
         let first_slice = job.steps == 0 && job.slices == 0;
         job.state = JobState::Running;
         job.not_before = None;
@@ -832,7 +854,7 @@ fn select_batch(st: &mut State, config: &ServeConfig) -> Vec<SliceTask> {
             Some(injector) => injector.on_slice(&tenant_name),
             None => SliceChaos::None,
         };
-        batch.push(SliceTask {
+        return Some(SliceTask {
             id,
             tenant: tenant_name,
             spec: job.spec.clone(),
@@ -854,7 +876,7 @@ fn select_batch(st: &mut State, config: &ServeConfig) -> Vec<SliceTask> {
             snapshot: None,
         });
     }
-    batch
+    None
 }
 
 /// Runs one slice: check-then-poll until the termination rule fires,
@@ -1024,248 +1046,405 @@ fn record_event(shared: &Shared, id: JobId, kind: EventKind) {
 /// Rebuilds a crashed job's engine from its spec and restores it from
 /// the in-memory last-good snapshot. The check-then-step slice contract
 /// makes the replay bit-identical to the lost work.
-fn resurrect(job: &mut Job) -> Result<(), String> {
+fn resurrect(job: &Job) -> Result<BoxedEngine, String> {
     let mut engine = build_engine(&job.spec, Some(job.stream.clone()))
         .map_err(|e| format!("rebuild failed: {e}"))?;
-    if let Some(bytes) = &job.resume_from {
-        let snapshot =
-            Snapshot::from_bytes(bytes).map_err(|e| format!("bad resume snapshot: {e:?}"))?;
+    if let Some(snapshot) = &job.resume_from {
         engine
-            .restore(&snapshot)
+            .restore(snapshot)
             .map_err(|e| format!("restore failed: {e:?}"))?;
     }
-    job.engine = Some(engine);
-    Ok(())
+    Ok(engine)
 }
 
-/// The scheduler thread: select → slice in parallel → persist →
-/// reintegrate, until stopped. While draining it idles without
-/// selecting, so `drain()` can persist a quiescent state.
-fn scheduler_loop(shared: &Shared, spool: &Spool) {
-    use rayon::prelude::ParallelSliceMut;
-    loop {
-        let mut batch = {
-            let mut st = lock(&shared.state);
-            loop {
-                if st.stopping {
-                    return;
-                }
-                if !shared.draining.load(Ordering::Acquire) {
-                    let batch = select_batch(&mut st, &shared.config);
-                    if !batch.is_empty() {
-                        break batch;
-                    }
-                }
-                // Nothing runnable now. If jobs are only backoff-gated,
-                // sleep just past the earliest gate instead of forever.
-                let now = Instant::now();
-                let earliest = st
-                    .jobs
-                    .values()
-                    .filter(|j| !j.state.is_terminal())
-                    .filter_map(|j| j.not_before)
-                    .filter(|t| *t > now)
-                    .min();
-                st = match earliest {
-                    Some(gate) => {
-                        let wait = gate.saturating_duration_since(now) + Duration::from_millis(1);
-                        shared
-                            .wake
-                            .wait_timeout(st, wait)
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .0
-                    }
-                    None => shared.wake.wait(st).unwrap_or_else(PoisonError::into_inner),
-                };
+/// Queued jobs a runner could take right now, and the earliest backoff
+/// gate still ahead among the rest.
+fn scan_queues(st: &State, now: Instant) -> (usize, Option<Instant>) {
+    let mut runnable = 0;
+    let mut earliest: Option<Instant> = None;
+    let queued = st.tenants.values().flat_map(|t| t.queue.iter());
+    for job in queued.filter_map(|id| st.jobs.get(id)) {
+        if job.state.is_terminal() || job.engine.is_none() {
+            continue;
+        }
+        match job.not_before {
+            Some(gate) if gate > now => {
+                earliest = Some(earliest.map_or(gate, |e| e.min(gate)));
             }
-        };
-        shared.in_flight.store(batch.len(), Ordering::Release);
-        // Slices run in parallel on the global work-stealing pool; each
-        // engine may itself fan out below this level.
-        let _: usize = batch
-            .par_iter_mut()
-            .with_min_len(1)
-            .map(|task| {
-                run_slice(task);
-                1usize
-            })
-            .sum();
-        if shared.hard_drop.load(Ordering::Acquire) {
-            // Simulated crash: the batch is lost, nothing is persisted.
-            shared.in_flight.store(0, Ordering::Release);
+            _ => runnable += 1,
+        }
+    }
+    (runnable, earliest)
+}
+
+/// The dispatcher thread: keeps up to `max_runners` runners on the pool
+/// while slices are runnable, and otherwise sleeps until `wake` is
+/// notified or the earliest backoff gate passes. On shutdown it returns
+/// once every runner has retired.
+fn dispatch_loop(shared: &Arc<Shared>, spool: &Arc<Spool>) {
+    let mut st = lock(&shared.state);
+    loop {
+        if st.stopping {
+            while st.runners > 0 {
+                st = shared.wake.wait(st).unwrap_or_else(PoisonError::into_inner);
+            }
             return;
         }
-        // Watchdog: a yielded slice that blew its deadline is treated
-        // exactly like a crash — the engine is discarded (its wall-clock
-        // behaviour is no longer trusted) and the job replays from its
-        // last good snapshot, which the check-then-step contract makes
-        // bit-identical.
-        let deadline = Duration::from_millis(shared.config.slice_deadline_ms);
-        if !deadline.is_zero() {
-            for task in &mut batch {
-                if matches!(task.end, SliceEnd::Yield) && task.slice_time > deadline {
-                    task.engine = None;
-                    task.snapshot = None;
-                    task.end = SliceEnd::Failed(format!(
-                        "watchdog: slice exceeded {} ms deadline",
-                        deadline.as_millis()
-                    ));
-                    lock(&shared.registry).inc("serve.stalled", 1);
-                }
+        let now = Instant::now();
+        let (runnable, earliest) = scan_queues(&st, now);
+        if !shared.draining.load(Ordering::Acquire) {
+            let spawn = runnable.min(shared.max_runners.saturating_sub(st.runners));
+            st.runners += spawn;
+            for _ in 0..spawn {
+                let (shared, spool) = (Arc::clone(shared), Arc::clone(spool));
+                rayon::spawn(move || run_next_slice(shared, spool));
             }
         }
-        // Persist every slice before reintegration: once a job is
-        // visible as progressed, its checkpoint is already durable.
-        // (Crashed slices are skipped: a panicked engine has no
-        // trustworthy snapshot; their terminal or retry record is
-        // written after reintegration.)
-        for task in &batch {
-            let state = match &task.end {
-                SliceEnd::Yield => JobState::Running,
-                SliceEnd::Done(reason) => JobState::Done(*reason),
-                SliceEnd::Cancelled => JobState::Cancelled,
-                SliceEnd::Failed(_) => continue,
-            };
-            let record = JobRecord {
-                id: task.id,
-                spec: task.spec.clone(),
-                state,
-                slices: task.prior_slices + 1,
-                steps: task.prior_steps + task.steps_run,
-                consumed: task.consumed + task.slice_time,
-                retries: task.prior_retries,
-                progress: task.progress,
-                engine_snapshot: task.snapshot.clone(),
-            };
-            persist_with_retry(shared, spool, &record);
-        }
-        // Reintegrate under the lock. Deferred records (quarantines and
-        // retry checkpoints) are written after the lock drops.
-        let mut deferred_records = Vec::new();
-        {
-            let mut st = lock(&shared.state);
-            let mut reg = lock(&shared.registry);
-            for task in batch {
-                reg.inc("serve.slices", 1);
-                reg.observe("serve.slice_micros", task.slice_time.as_micros() as f64);
-                if let Some(t) = st.tenants.get_mut(&task.tenant) {
-                    t.deficit = t.deficit.saturating_sub(task.steps_run);
-                    t.completed_slices += 1;
-                }
-                let Some(job) = st.jobs.get_mut(&task.id) else {
-                    continue;
-                };
-                if !matches!(task.end, SliceEnd::Failed(_)) {
-                    // Crashed slices contribute nothing: their deltas
-                    // are discarded with the engine, so counters always
-                    // match the last good snapshot.
-                    reg.inc("serve.steps", task.steps_run);
-                    reg.inc("serve.evals_folded", task.evals_folded);
-                    job.slices += 1;
-                    job.steps += task.steps_run;
-                    job.consumed += task.slice_time;
-                    job.progress = task.progress;
-                    job.resume_from = task.snapshot.as_ref().map(Snapshot::to_bytes);
-                }
-                match task.end {
-                    SliceEnd::Yield => {
-                        job.engine = task.engine;
-                        if let Some(t) = st.tenants.get_mut(&task.tenant) {
-                            t.queue.push_back(task.id);
-                        }
-                    }
-                    SliceEnd::Done(reason) => {
-                        job.state = JobState::Done(reason);
-                        job.engine = None;
-                        job.stream.close();
-                        st.live -= 1;
-                        reg.inc("serve.completed", 1);
-                    }
-                    SliceEnd::Cancelled => {
-                        job.state = JobState::Cancelled;
-                        job.engine = None;
-                        job.stream.close();
-                        st.live -= 1;
-                        reg.inc("serve.cancelled", 1);
-                    }
-                    SliceEnd::Failed(message) => {
-                        reg.inc("serve.slice_crashes", 1);
-                        let budget = shared.config.retry_budget;
-                        let outcome = if job.retries < budget {
-                            resurrect(job)
-                                .map_err(|e| format!("{message} (resurrection failed: {e})"))
-                        } else {
-                            Err(format!(
-                                "retry budget exhausted after {budget} retries: {message}"
-                            ))
-                        };
-                        let requeued = match outcome {
-                            Ok(()) => {
-                                // Bounded-retry resurrection: requeue
-                                // behind an exponential backoff gate.
-                                job.retries += 1;
-                                let shift = (job.retries - 1).min(16) as u32;
-                                let backoff = Duration::from_millis(
-                                    shared.config.backoff_base_ms.saturating_mul(1u64 << shift),
-                                );
-                                job.not_before = Some(Instant::now() + backoff);
-                                job.state = JobState::Queued;
-                                reg.inc("serve.retries", 1);
-                                job.stream.record(&Event::new(EventKind::JobRetried {
-                                    job: task.id.0,
-                                    attempt: job.retries,
-                                    backoff_micros: backoff.as_micros() as u64,
-                                }));
-                                true
-                            }
-                            Err(reason) => {
-                                // Budget exhausted (or resurrection
-                                // itself failed): quarantine. The pool
-                                // keeps running; the job never does.
-                                job.state = JobState::Poisoned(reason.clone());
-                                job.engine = None;
-                                job.stream.record(&Event::new(EventKind::JobPoisoned {
-                                    job: task.id.0,
-                                    retries: job.retries,
-                                    reason,
-                                }));
-                                job.stream.close();
-                                reg.inc("serve.poisoned", 1);
-                                false
-                            }
-                        };
-                        // Either way the outcome must survive a restart:
-                        // a retry record keeps the count mid-budget, a
-                        // poison record keeps the quarantine.
-                        deferred_records.push(JobRecord {
-                            id: task.id,
-                            spec: job.spec.clone(),
-                            state: job.state.clone(),
-                            slices: job.slices,
-                            steps: job.steps,
-                            consumed: job.consumed,
-                            retries: job.retries,
-                            progress: job.progress,
-                            engine_snapshot: job
-                                .resume_from
-                                .as_deref()
-                                .and_then(|b| Snapshot::from_bytes(b).ok()),
-                        });
-                        if requeued {
-                            if let Some(t) = st.tenants.get_mut(&task.tenant) {
-                                t.queue.push_back(task.id);
-                            }
-                        } else {
-                            st.live -= 1;
-                        }
-                    }
-                }
+        st = match earliest {
+            Some(gate) => {
+                let wait = gate.saturating_duration_since(now) + Duration::from_millis(1);
+                shared
+                    .wake
+                    .wait_timeout(st, wait)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0
             }
-        }
-        for record in &deferred_records {
-            persist_with_retry(shared, spool, record);
-        }
-        shared.in_flight.store(0, Ordering::Release);
+            None => shared.wake.wait(st).unwrap_or_else(PoisonError::into_inner),
+        };
+    }
+}
+
+/// One turn of a runner: takes the next slice in DRR order, runs it,
+/// and finishes it on its own. Then it re-spawns itself for the next
+/// turn, so its worker passes back through the pool between slices and
+/// other pool work (nested engine batches, other servers' runners) gets
+/// its turn. Retires when nothing is runnable, and on drain or shutdown.
+fn run_next_slice(shared: Arc<Shared>, spool: Arc<Spool>) {
+    let mut task = {
+        let mut st = lock(&shared.state);
+        let next = if st.stopping || shared.draining.load(Ordering::Acquire) {
+            None
+        } else {
+            select_slice(&mut st, &shared.config)
+        };
+        let Some(task) = next else {
+            st.runners -= 1;
+            drop(st);
+            shared.wake.notify_all();
+            return;
+        };
+        st.in_flight += 1;
+        task
+    };
+    run_slice(&mut task);
+    if shared.hard_drop.load(Ordering::Acquire) {
+        // Simulated crash: the slice is lost, nothing is persisted.
+        let mut st = lock(&shared.state);
+        st.in_flight -= 1;
+        st.runners -= 1;
+        drop(st);
+        shared.wake.notify_all();
         shared.progress.notify_all();
+        return;
+    }
+    finish_slice(&shared, &spool, task);
+    rayon::spawn(move || run_next_slice(shared, spool));
+}
+
+/// Watchdog, persist, reintegrate: everything after a slice returns.
+fn finish_slice(shared: &Shared, spool: &Spool, mut task: SliceTask) {
+    // Watchdog: a yielded slice that blew its deadline is treated
+    // exactly like a crash — the engine is discarded (its wall-clock
+    // behaviour is no longer trusted) and the job replays from its last
+    // good snapshot, which the check-then-step contract makes
+    // bit-identical.
+    let deadline = Duration::from_millis(shared.config.slice_deadline_ms);
+    if !deadline.is_zero() && matches!(task.end, SliceEnd::Yield) && task.slice_time > deadline {
+        task.engine = None;
+        task.snapshot = None;
+        task.end = SliceEnd::Failed(format!(
+            "watchdog: slice exceeded {} ms deadline",
+            deadline.as_millis()
+        ));
+        lock(&shared.registry).inc("serve.stalled", 1);
+    }
+    // Persist before reintegration: once a job is visible as progressed,
+    // its checkpoint is already durable. A crashed slice is skipped (a
+    // panicked engine has no trustworthy snapshot); its retry or
+    // quarantine record is written by `reintegrate`'s crash path.
+    let state = match &task.end {
+        SliceEnd::Yield => Some(JobState::Running),
+        SliceEnd::Done(reason) => Some(JobState::Done(*reason)),
+        SliceEnd::Cancelled => Some(JobState::Cancelled),
+        SliceEnd::Failed(_) => None,
+    };
+    if let Some(state) = state {
+        // The spec and snapshot move into the record and back: the
+        // slice's snapshot is never copied.
+        let record = JobRecord {
+            id: task.id,
+            spec: task.spec,
+            state,
+            slices: task.prior_slices + 1,
+            steps: task.prior_steps + task.steps_run,
+            consumed: task.consumed + task.slice_time,
+            retries: task.prior_retries,
+            progress: task.progress,
+            engine_snapshot: task.snapshot.take(),
+        };
+        persist_with_retry(shared, spool, &record);
+        task.spec = record.spec;
+        task.snapshot = record.engine_snapshot;
+    }
+    let crash = {
+        let mut st = lock(&shared.state);
+        let crash = reintegrate(shared, &mut st, task);
+        if crash.is_none() {
+            st.in_flight -= 1;
+        }
+        crash
+    };
+    if let Some(crash) = crash {
+        // The crashed job stays checked out (and counted in flight)
+        // until its record is durable, so neither its next slice nor a
+        // drain can write its record concurrently.
+        persist_with_retry(shared, spool, &crash.record);
+        let id = crash.record.id;
+        let mut st = lock(&shared.state);
+        if let Some(engine) = crash.resurrected {
+            if let Some(job) = st.jobs.get_mut(&id) {
+                job.engine = Some(engine);
+                job.state = JobState::Queued;
+            }
+            if let Some(t) = st.tenants.get_mut(&crash.tenant) {
+                t.queue.push_back(id);
+            }
+        }
+        st.in_flight -= 1;
+        drop(st);
+        // The requeued job waits behind a backoff gate the dispatcher
+        // has not seen yet.
+        shared.wake.notify_all();
+    }
+    shared.progress.notify_all();
+}
+
+/// A crashed slice's outcome, completed after its record is persisted.
+struct Crash {
+    /// The retry or quarantine record.
+    record: JobRecord,
+    tenant: String,
+    /// The resurrected engine (`None` once the job is quarantined).
+    resurrected: Option<BoxedEngine>,
+}
+
+/// Folds a finished slice back into the shared state: counters, the
+/// tenant's DRR refund, and the job's next state. A yielded job is
+/// requeued; a terminal job drops its engine and resume snapshot. A
+/// crashed slice's outcome is returned, to be persisted before the job
+/// is requeued.
+fn reintegrate(shared: &Shared, st: &mut State, task: SliceTask) -> Option<Crash> {
+    let mut reg = lock(&shared.registry);
+    reg.inc("serve.slices", 1);
+    reg.observe("serve.slice_micros", task.slice_time.as_micros() as f64);
+    let cap = deficit_cap(&shared.config);
+    if let Some(t) = st.tenants.get_mut(&task.tenant) {
+        let unused = task.allowance.saturating_sub(task.steps_run);
+        t.deficit = (t.deficit + unused).min(cap);
+        t.completed_slices += 1;
+    }
+    let job = st.jobs.get_mut(&task.id)?;
+    if !matches!(task.end, SliceEnd::Failed(_)) {
+        // Crashed slices contribute nothing: their deltas are discarded
+        // with the engine, so counters always match the last good
+        // snapshot.
+        reg.inc("serve.steps", task.steps_run);
+        reg.inc("serve.evals_folded", task.evals_folded);
+        job.slices += 1;
+        job.steps += task.steps_run;
+        job.consumed += task.slice_time;
+        job.progress = task.progress;
+        job.resume_from = task.snapshot;
+    }
+    match task.end {
+        SliceEnd::Yield => {
+            job.engine = task.engine;
+            if let Some(t) = st.tenants.get_mut(&task.tenant) {
+                t.queue.push_back(task.id);
+            }
+            None
+        }
+        SliceEnd::Done(reason) => {
+            job.state = JobState::Done(reason);
+            job.engine = None;
+            job.resume_from = None;
+            job.stream.close();
+            st.live -= 1;
+            reg.inc("serve.completed", 1);
+            None
+        }
+        SliceEnd::Cancelled => {
+            job.state = JobState::Cancelled;
+            job.engine = None;
+            job.resume_from = None;
+            job.stream.close();
+            st.live -= 1;
+            reg.inc("serve.cancelled", 1);
+            None
+        }
+        SliceEnd::Failed(message) => {
+            reg.inc("serve.slice_crashes", 1);
+            let budget = shared.config.retry_budget;
+            let outcome = if job.retries < budget {
+                resurrect(job).map_err(|e| format!("{message} (resurrection failed: {e})"))
+            } else {
+                Err(format!(
+                    "retry budget exhausted after {budget} retries: {message}"
+                ))
+            };
+            let (state, resurrected, engine_snapshot) = match outcome {
+                Ok(engine) => {
+                    // Bounded-retry resurrection: requeued (once its
+                    // record is durable) behind an exponential backoff
+                    // gate.
+                    job.retries += 1;
+                    let shift = (job.retries - 1).min(16) as u32;
+                    let backoff = Duration::from_millis(
+                        shared.config.backoff_base_ms.saturating_mul(1u64 << shift),
+                    );
+                    job.not_before = Some(Instant::now() + backoff);
+                    reg.inc("serve.retries", 1);
+                    job.stream.record(&Event::new(EventKind::JobRetried {
+                        job: task.id.0,
+                        attempt: job.retries,
+                        backoff_micros: backoff.as_micros() as u64,
+                    }));
+                    (JobState::Queued, Some(engine), job.resume_from.clone())
+                }
+                Err(reason) => {
+                    // Budget exhausted (or resurrection itself failed):
+                    // quarantine. The pool keeps running; the job never
+                    // does.
+                    job.state = JobState::Poisoned(reason.clone());
+                    job.engine = None;
+                    job.stream.record(&Event::new(EventKind::JobPoisoned {
+                        job: task.id.0,
+                        retries: job.retries,
+                        reason,
+                    }));
+                    job.stream.close();
+                    reg.inc("serve.poisoned", 1);
+                    st.live -= 1;
+                    (job.state.clone(), None, job.resume_from.take())
+                }
+            };
+            // Either way the outcome must survive a restart: a retry
+            // record keeps the count mid-budget, a poison record keeps
+            // the quarantine.
+            Some(Crash {
+                record: JobRecord {
+                    id: task.id,
+                    spec: job.spec.clone(),
+                    state,
+                    slices: job.slices,
+                    steps: job.steps,
+                    consumed: job.consumed,
+                    retries: job.retries,
+                    progress: job.progress,
+                    engine_snapshot,
+                },
+                tenant: task.tenant,
+                resurrected,
+            })
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{Budget, EngineSpec, ProblemSpec};
+    use pga_cluster::chaos::ChaosPlan;
+
+    const WAIT: Duration = Duration::from_secs(60);
+
+    fn spec(tenant: &str, seed: u64, generations: u64) -> JobSpec {
+        JobSpec {
+            tenant: tenant.into(),
+            problem: ProblemSpec::onemax(32),
+            engine: EngineSpec::ga(16, 1),
+            seed,
+            budget: Budget {
+                generations: Some(generations),
+                ..Budget::default()
+            },
+        }
+    }
+
+    #[test]
+    fn finished_jobs_release_their_state_and_idle_runners_retire() {
+        let dir = std::env::temp_dir().join(format!(
+            "pga-serve-unit-terminal-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let runtime = ServeRuntime::start(ServeConfig {
+            spool_dir: dir.clone(),
+            max_jobs: 8,
+            steps_per_slice: 4,
+            quantum_steps: 4,
+            max_batch: 4,
+            retry_after_ms: 1000,
+            stream_capacity: 64,
+            retry_budget: 1,
+            backoff_base_ms: 0,
+            slice_deadline_ms: 0,
+            max_body_bytes: 1 << 20,
+            chaos: Some(Arc::new(ChaosInjector::new(
+                ChaosPlan::none().poison_tenant("evil"),
+            ))),
+        })
+        .unwrap();
+        let done = runtime.submit(spec("a", 1, 12)).unwrap();
+        let cancelled = runtime.submit(spec("b", 2, 1_000_000)).unwrap();
+        let poisoned = runtime.submit(spec("evil", 3, 12)).unwrap();
+        let deadline = Instant::now() + WAIT;
+        while runtime.progress_of(cancelled).unwrap().generations == 0 {
+            assert!(Instant::now() < deadline, "job never started");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(runtime.cancel(cancelled));
+        assert!(runtime.wait_all(WAIT));
+        {
+            let st = lock(&runtime.shared.state);
+            assert_eq!(
+                st.jobs[&done].state,
+                JobState::Done(StopReason::MaxGenerations)
+            );
+            assert_eq!(st.jobs[&cancelled].state, JobState::Cancelled);
+            assert!(matches!(st.jobs[&poisoned].state, JobState::Poisoned(_)));
+            for id in [done, cancelled, poisoned] {
+                let job = &st.jobs[&id];
+                assert!(job.engine.is_none(), "{id} kept its engine");
+                assert!(job.resume_from.is_none(), "{id} kept its snapshot");
+            }
+            assert_eq!((st.in_flight, st.live), (0, 0));
+        }
+        // Gone idle, the server hands every pool worker back: each
+        // runner retires (and notifies `wake`) once nothing is runnable.
+        let mut st = lock(&runtime.shared.state);
+        while st.runners > 0 {
+            assert!(Instant::now() < deadline, "idle server keeps runners");
+            st = runtime
+                .shared
+                .wake
+                .wait_timeout(st, Duration::from_millis(10))
+                .unwrap()
+                .0;
+        }
+        drop(st);
+        runtime.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -12,8 +12,11 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use pga_serve::protocol::Json;
-use pga_serve::{Budget, EngineSpec, JobSpec, ProblemSpec, Serve, ServeBuilder};
+use pga_serve::protocol::{Json, MAX_SEED};
+use pga_serve::{
+    Budget, EngineSpec, JobSpec, ProblemSpec, ProtocolError, Serve, ServeBuilder, Spool,
+    SubmitError,
+};
 
 const WAIT: Duration = Duration::from_secs(60);
 
@@ -98,6 +101,109 @@ fn absurd_literals_are_rejected_not_trusted() {
     ] {
         assert!(JobSpec::from_json_str(text).is_err(), "accepted {text:?}");
     }
+}
+
+#[test]
+fn seeds_json_cannot_carry_exactly_are_typed_errors() {
+    let valid = valid_spec();
+    let with_seed = |seed: &str| valid.replace("\"seed\":7", &format!("\"seed\":{seed}"));
+    assert_ne!(with_seed("8"), valid, "the spec carries a seed field");
+    assert_eq!(
+        JobSpec::from_json_str(&with_seed("9007199254740991"))
+            .expect("2^53 - 1 is exact")
+            .seed,
+        MAX_SEED
+    );
+    // Past 2^53 - 1 a double rounds (2^53 + 1 parses as 2^53), overflows
+    // u64, or is no integer at all: every one used to become seed 0.
+    for seed in [
+        "9007199254740992",
+        "9007199254740993",
+        "18446744073709551615",
+        "18446744073709551616",
+        "1e300",
+        "-1",
+        "1.5",
+        "\"7\"",
+        "null",
+        "true",
+    ] {
+        match JobSpec::from_json_str(&with_seed(seed)) {
+            Err(ProtocolError::Invalid { field: "seed", .. }) => {}
+            other => panic!("seed {seed}: expected a typed seed error, got {other:?}"),
+        }
+    }
+    // An absent seed still defaults to 0.
+    let no_seed = valid.replace("\"seed\":7,", "");
+    assert_eq!(
+        JobSpec::from_json_str(&no_seed)
+            .expect("seed optional")
+            .seed,
+        0
+    );
+
+    // The embedded path applies the same bound before admitting.
+    let dir = temp_dir("seed");
+    let serve = ServeBuilder::new()
+        .spool_dir(&dir)
+        .build()
+        .expect("server starts");
+    let spec = JobSpec::from_json_str(&valid).expect("valid");
+    for seed in [MAX_SEED + 1, u64::MAX] {
+        match serve.submit(JobSpec {
+            seed,
+            ..spec.clone()
+        }) {
+            Err(SubmitError::Invalid(ProtocolError::Invalid { field: "seed", .. })) => {}
+            other => panic!("seed {seed}: expected a typed seed error, got {other:?}"),
+        }
+    }
+    assert!(serve.job_ids().is_empty(), "nothing was admitted");
+    serve.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_largest_seed_survives_a_restart_exactly() {
+    let dir = temp_dir("seed-restart");
+    let spec = JobSpec {
+        seed: MAX_SEED,
+        budget: Budget {
+            generations: Some(1_000_000),
+            ..Budget::default()
+        },
+        ..JobSpec::from_json_str(&valid_spec()).expect("valid")
+    };
+    let first = ServeBuilder::new()
+        .spool_dir(&dir)
+        .build()
+        .expect("server starts");
+    let id = first.submit(spec.clone()).expect("admitted");
+    let deadline = std::time::Instant::now() + WAIT;
+    while first.progress_of(id).is_none_or(|p| p.generations == 0) {
+        assert!(std::time::Instant::now() < deadline, "job never started");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    first.shutdown();
+    let record = Spool::open(&dir)
+        .expect("spool reopens")
+        .load_all()
+        .expect("scan")
+        .records
+        .into_iter()
+        .find(|r| r.id == id)
+        .expect("record persisted");
+    assert_eq!(record.spec, spec, "the spool holds the submitted spec");
+    let second = ServeBuilder::new()
+        .spool_dir(&dir)
+        .build()
+        .expect("restart");
+    assert_eq!(second.recover_report().resumed, 1);
+    let doc = second.status_json(id).expect("job known after restart");
+    assert!(doc.contains("\"seed\":9007199254740991"), "{doc}");
+    assert!(second.cancel(id));
+    second.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------

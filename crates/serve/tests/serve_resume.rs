@@ -12,8 +12,8 @@ use std::time::{Duration, Instant};
 use pga_core::{Driver, ErasedRun};
 use pga_serve::factory::build_engine;
 use pga_serve::{
-    Budget, EngineSpec, JobId, JobSpec, JobState, ProblemSpec, Serve, ServeBuilder, Spool,
-    SubmitError,
+    Budget, ChaosPlan, EngineSpec, JobId, JobSpec, JobState, ProblemSpec, Serve, ServeBuilder,
+    Spool, SubmitError,
 };
 
 const WAIT: Duration = Duration::from_secs(120);
@@ -279,6 +279,53 @@ fn a_hog_tenant_cannot_starve_a_late_small_tenant() {
     let slices = serve.tenant_slices();
     assert!(slices["hog"] > 0 && slices["small"] > 0);
     assert!(serve.wait_all(WAIT), "hog eventually completes too");
+    serve.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_stalled_slice_does_not_hold_up_another_tenants_job() {
+    if rayon::current_num_threads() < 2 {
+        eprintln!("skipped: needs two pool workers to run slices side by side");
+        return;
+    }
+    const STALL: Duration = Duration::from_secs(3);
+    let dir = temp_dir("hol");
+    // The first slice handed out sleeps for STALL, well under the
+    // watchdog deadline: slow but healthy.
+    let serve = ServeBuilder::new()
+        .spool_dir(&dir)
+        .steps_per_slice(4)
+        .quantum_steps(4)
+        .slice_deadline_ms(60_000)
+        .chaos(ChaosPlan::none().slice_stall(0, STALL))
+        .build()
+        .expect("server starts");
+    let slow = serve
+        .submit(spec("slow", 61, EngineSpec::ga(16, 1), 8))
+        .expect("admitted");
+    let deadline = Instant::now() + WAIT;
+    while serve.state(slow) != Some(JobState::Running) {
+        assert!(Instant::now() < deadline, "stalled slice never dispatched");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // Ten slices of a small tenant's job, submitted while the stalled
+    // slice is out on the pool.
+    let small = serve
+        .submit(spec("small", 62, EngineSpec::ga(16, 1), 40))
+        .expect("admitted");
+    assert!(serve.wait(small, WAIT), "small job never finished");
+    assert_eq!(
+        serve.progress_of(slow).map(|p| p.generations),
+        Some(0),
+        "the small job waited for the stalled slice to come back"
+    );
+    assert_eq!(serve.tenant_slices()["small"], 10);
+    assert!(serve.wait(slow, WAIT), "stalled job finishes too");
+    assert_eq!(
+        serve.state(slow),
+        Some(JobState::Done(pga_core::StopReason::MaxGenerations))
+    );
     serve.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -61,6 +61,19 @@ timeout 300 cargo test -q -p pga-serve --release --test serve_resume
 echo "==> e19 serve load smoke (quick mode: no results files rewritten)"
 timeout 300 cargo run -q --release -p pga-bench --bin e19_serve_load -- --quick > /dev/null
 
+echo "==> benchmark unit tests (perfbench: tail rule, quantiles, spans, CLI)"
+cargo test -q --manifest-path perfbench/Cargo.toml
+
+echo "==> serve-mixed benchmark smoke (5 s; every job must replay bit-equal)"
+# The result line's "correct"/"failed" fields carry the benchmark's own
+# checks: every serve job done, its best fitness bit-equal to a local
+# Driver replay of the same spec.
+smoke=$(timeout 300 bash perfbench/run.sh --workload serve-mixed --seed 3 --seconds 5 --trace 0 | tail -n 1)
+case "$smoke" in
+    *'"correct": true'*'"failed": 0,'*) echo "serve-mixed smoke: correct, 0 failed" ;;
+    *) echo "serve-mixed smoke failed: $smoke"; exit 1 ;;
+esac
+
 echo "==> serve chaos suite: fault injection, quarantine, degraded modes (release, timeout-guarded)"
 # Injected stalls/backoffs must never hang the scheduler: timeout is the gate.
 timeout 300 cargo test -q -p pga-serve --release --test chaos
